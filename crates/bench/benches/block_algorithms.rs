@@ -20,15 +20,15 @@ fn bench_blocks(c: &mut Criterion) {
 
     for parts in [4usize, 16, 64] {
         let depth = parts.trailing_zeros() as usize;
-        let col = ColumnBlockSolver::new(&l, parts, &sel, 4).unwrap();
+        let col = ColumnBlockSolver::new(&l, parts, &sel).unwrap();
         g.bench_with_input(BenchmarkId::new("column", parts), &col, |bench, s| {
             bench.iter(|| s.solve(&b).unwrap())
         });
-        let row = RowBlockSolver::new(&l, parts, &sel, 4).unwrap();
+        let row = RowBlockSolver::new(&l, parts, &sel).unwrap();
         g.bench_with_input(BenchmarkId::new("row", parts), &row, |bench, s| {
             bench.iter(|| s.solve(&b).unwrap())
         });
-        let rec = RecursiveBlockSolver::new(&l, depth, &sel, 4).unwrap();
+        let rec = RecursiveBlockSolver::new(&l, depth, &sel).unwrap();
         g.bench_with_input(BenchmarkId::new("recursive", parts), &rec, |bench, s| {
             bench.iter(|| s.solve(&b).unwrap())
         });

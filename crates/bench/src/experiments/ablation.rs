@@ -40,7 +40,6 @@ pub fn evaluate(cfg: &HarnessConfig, extra_shrink: usize) -> Vec<AblationRow> {
         reorder: true,
         selector: Selector::default(),
         allow_dcsr: true,
-        syncfree_threads: 4,
         tune: recblock_kernels::exec::TuneParams::default(),
     };
     let time = |opts: &BlockedOptions| -> f64 {

@@ -50,9 +50,9 @@ fn sweep<S: Scalar>(l: &Csr<S>, parts: &[usize], dev: &DeviceSpec, cfg: &Harness
     let mut t = Table::new(["parts", "col (ms)", "row (ms)", "rec (ms)"]);
     for &p in parts {
         let depth = p.trailing_zeros() as usize;
-        let col = ColumnBlockSolver::new(l, p, &sel, 4).expect("solvable");
-        let row = RowBlockSolver::new(l, p, &sel, 4).expect("solvable");
-        let rec = RecursiveBlockSolver::new(l, depth, &sel, 4).expect("solvable");
+        let col = ColumnBlockSolver::new(l, p, &sel).expect("solvable");
+        let row = RowBlockSolver::new(l, p, &sel).expect("solvable");
+        let rec = RecursiveBlockSolver::new(l, depth, &sel).expect("solvable");
         let c = col.simulated_breakdown(dev, &cfg.params).spmv.total_s;
         let r = row.simulated_breakdown(dev, &cfg.params).spmv.total_s;
         let q = rec.simulated_breakdown(dev, &cfg.params).spmv.total_s;
@@ -68,9 +68,9 @@ pub fn spmv_times_at<S: Scalar>(l: &Csr<S>, parts: usize, cfg: &HarnessConfig) -
     let dev = scale_device(&DeviceSpec::titan_rtx_turing(), cfg.scale);
     let sel = Selector::default();
     let depth = parts.trailing_zeros() as usize;
-    let col = ColumnBlockSolver::new(l, parts, &sel, 4).expect("solvable");
-    let row = RowBlockSolver::new(l, parts, &sel, 4).expect("solvable");
-    let rec = RecursiveBlockSolver::new(l, depth, &sel, 4).expect("solvable");
+    let col = ColumnBlockSolver::new(l, parts, &sel).expect("solvable");
+    let row = RowBlockSolver::new(l, parts, &sel).expect("solvable");
+    let rec = RecursiveBlockSolver::new(l, depth, &sel).expect("solvable");
     (
         col.simulated_breakdown(&dev, &cfg.params).spmv.total_s,
         row.simulated_breakdown(&dev, &cfg.params).spmv.total_s,
@@ -94,9 +94,9 @@ pub fn run_measured(extra: usize, parts: &[usize], repeats: usize) -> String {
         let mut t = Table::new(["parts", "col (ms)", "row (ms)", "rec (ms)"]);
         for &p in parts {
             let depth = p.trailing_zeros() as usize;
-            let col = ColumnBlockSolver::new(&l, p, &sel, 4).expect("solvable");
-            let row = RowBlockSolver::new(&l, p, &sel, 4).expect("solvable");
-            let rec = RecursiveBlockSolver::new(&l, depth, &sel, 4).expect("solvable");
+            let col = ColumnBlockSolver::new(&l, p, &sel).expect("solvable");
+            let row = RowBlockSolver::new(&l, p, &sel).expect("solvable");
+            let rec = RecursiveBlockSolver::new(&l, depth, &sel).expect("solvable");
             let avg = |f: &dyn Fn() -> f64| -> f64 {
                 (0..repeats).map(|_| f()).sum::<f64>() / repeats as f64
             };

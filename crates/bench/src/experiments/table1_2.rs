@@ -80,9 +80,9 @@ pub fn run_sized(n: usize) -> String {
     let mut t = Table::new(["parts", "method", "b-updates", "formula", "x-loads", "formula"]);
     for &parts in &[4usize, 16, 64] {
         let depth = parts.trailing_zeros() as usize;
-        let col = ColumnBlockSolver::new(&l, parts, &sel, 2).expect("dense is solvable");
-        let row = RowBlockSolver::new(&l, parts, &sel, 2).expect("dense is solvable");
-        let rec = RecursiveBlockSolver::new(&l, depth, &sel, 2).expect("dense is solvable");
+        let col = ColumnBlockSolver::new(&l, parts, &sel).expect("dense is solvable");
+        let row = RowBlockSolver::new(&l, parts, &sel).expect("dense is solvable");
+        let rec = RecursiveBlockSolver::new(&l, depth, &sel).expect("dense is solvable");
         t.row([
             parts.to_string(),
             "col. block".into(),

@@ -147,7 +147,6 @@ pub fn build_blocked<S: Scalar>(
         reorder: true,
         selector: Selector::Adaptive(thresholds),
         allow_dcsr: true,
-        syncfree_threads: 4,
         tune: recblock_kernels::exec::TuneParams::default(),
     };
     BlockedTri::build(l, &opts).expect("corpus matrices are solvable")

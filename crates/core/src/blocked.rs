@@ -21,13 +21,14 @@ use crate::partition::{self, PlanNode};
 use crate::report::{SimBreakdown, SolveBreakdown};
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
-use crate::trisolver::TriSolver;
+use crate::trisolver::{TriBlock, TriSolver};
 use recblock_gpu_sim::cost::SpmvKind;
 use recblock_gpu_sim::TriProfile;
 use recblock_gpu_sim::{CostParams, DeviceSpec, KernelTime};
 use recblock_kernels::exec::TuneParams;
 use recblock_kernels::trace::{EventKind, SolveTrace};
-use recblock_matrix::permute::Permutation;
+use recblock_matrix::levelset::{LevelSets, WithinLevelOrder};
+use recblock_matrix::permute::{permute_symmetric, Permutation};
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -57,8 +58,6 @@ pub struct BlockedOptions {
     /// Allow DCSR storage for hyper-sparse squares. Disabling it is the
     /// `ablation_dcsr` baseline.
     pub allow_dcsr: bool,
-    /// Worker threads for sync-free blocks.
-    pub syncfree_threads: usize,
     /// Execution-engine thresholds (level coarsening, nnz chunking) applied
     /// to every block's preplanned schedule.
     pub tune: TuneParams,
@@ -71,10 +70,6 @@ impl Default for BlockedOptions {
             reorder: true,
             selector: Selector::default(),
             allow_dcsr: true,
-            syncfree_threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .min(16),
             tune: TuneParams::default(),
         }
     }
@@ -87,7 +82,7 @@ impl Default for BlockedOptions {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum BlockData<S> {
-    Tri { solver: TriSolver<S>, profile: TriProfile },
+    Tri(TriBlock<S>),
     Square(SqSolver<S>),
 }
 
@@ -116,7 +111,8 @@ pub struct BlockSummary {
 pub enum BlockKindSummary {
     /// Triangular block: selected SpTRSV kernel and cost-model profile.
     Tri {
-        /// The kernel the selection assigned.
+        /// The kernel Algorithm 7 picked (a sync-free pick executes on the
+        /// engine's level-set solver).
         kernel: TriKernel,
         /// The block's structural profile.
         profile: recblock_gpu_sim::TriProfile,
@@ -246,20 +242,23 @@ impl<S: Scalar> BlockedTri<S> {
             DepthRule::Fixed(d) => *d,
         };
         let t_reorder = Instant::now();
-        let (matrix, perm) = if opts.reorder {
-            crate::reorder::recursive_levelset_reorder(l, depth)?
-        } else {
+        let (matrix, perm) = if !opts.reorder {
             (l.clone(), Permutation::identity(n))
+        } else if depth == 0 {
+            // One block: analyse it once, for the pick and for the reorder.
+            let levels = LevelSets::analyse_unchecked(l);
+            if let Some(tri) = TriBlock::in_given_order(l, &levels, &opts.selector, opts.tune)? {
+                let blocks = vec![Block { rows: 0..n, cols: 0..n, data: BlockData::Tri(tri) }];
+                return Ok(Self::assemble(l, depth, Permutation::identity(n), blocks, opts, None));
+            }
+            // The depth-0 reorder, from the levels already analysed.
+            let perm = levels.permutation_ordered(l, WithinLevelOrder::ByIndex);
+            (permute_symmetric(l, &perm)?, perm)
+        } else {
+            crate::reorder::recursive_levelset_reorder(l, depth)?
         };
         let reorder_time = opts.reorder.then(|| t_reorder.elapsed());
         let plan = partition::recursive_plan(n, depth);
-        let mut traffic = TrafficCounts::default();
-        for node in &plan {
-            match node {
-                PlanNode::Tri { rows } => traffic.tri(rows.len()),
-                PlanNode::Square { rows, cols } => traffic.spmv(rows.len(), cols.len()),
-            }
-        }
         // Blocks are independent once the matrix is reordered: extract,
         // profile and preprocess them in parallel (this is the bulk of the
         // Table 5 preprocessing cost).
@@ -270,17 +269,8 @@ impl<S: Scalar> BlockedTri<S> {
                 match node {
                     PlanNode::Tri { rows } => {
                         let tri = matrix.submatrix(rows.clone(), rows.clone());
-                        let (solver, profile) = TriSolver::build_adaptive_tuned(
-                            tri,
-                            &opts.selector,
-                            opts.syncfree_threads,
-                            opts.tune,
-                        )?;
-                        Ok(Block {
-                            rows: rows.clone(),
-                            cols: rows,
-                            data: BlockData::Tri { solver, profile },
-                        })
+                        let tri = TriBlock::build(tri, &opts.selector, opts.tune)?;
+                        Ok(Block { rows: rows.clone(), cols: rows, data: BlockData::Tri(tri) })
                     }
                     PlanNode::Square { rows, cols } => {
                         let sq = matrix.submatrix(rows.clone(), cols.clone());
@@ -291,6 +281,26 @@ impl<S: Scalar> BlockedTri<S> {
                 }
             })
             .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(l, depth, perm, blocks, opts, reorder_time))
+    }
+
+    /// Wrap built blocks into the plan (traffic counts, selection report).
+    fn assemble(
+        l: &Csr<S>,
+        depth: usize,
+        perm: Permutation,
+        blocks: Vec<Block<S>>,
+        opts: &BlockedOptions,
+        reorder_time: Option<Duration>,
+    ) -> Self {
+        let n = l.nrows();
+        let mut traffic = TrafficCounts::default();
+        for b in &blocks {
+            match b.data {
+                BlockData::Tri(_) => traffic.tri(b.rows.len()),
+                BlockData::Square(_) => traffic.spmv(b.rows.len(), b.cols.len()),
+            }
+        }
         let report = make_report(
             n,
             l.nnz(),
@@ -303,17 +313,7 @@ impl<S: Scalar> BlockedTri<S> {
             false,
         );
         let ident = perm_is_identity(&perm);
-        Ok(BlockedTri {
-            n,
-            nnz: l.nnz(),
-            depth,
-            perm,
-            ident,
-            tune: opts.tune,
-            blocks,
-            traffic,
-            report,
-        })
+        BlockedTri { n, nnz: l.nnz(), depth, perm, ident, tune: opts.tune, blocks, traffic, report }
     }
 
     /// Rows of the system.
@@ -364,13 +364,10 @@ impl<S: Scalar> BlockedTri<S> {
         self.blocks
             .iter()
             .map(|b| match &b.data {
-                BlockData::Tri { solver, profile } => BlockSummary {
+                BlockData::Tri(t) => BlockSummary {
                     rows: b.rows.clone(),
                     cols: b.cols.clone(),
-                    kind: BlockKindSummary::Tri {
-                        kernel: solver.kernel(),
-                        profile: profile.clone(),
-                    },
+                    kind: BlockKindSummary::Tri { kernel: t.pick, profile: t.profile.clone() },
                 },
                 BlockData::Square(sq) => BlockSummary {
                     rows: b.rows.clone(),
@@ -390,7 +387,7 @@ impl<S: Scalar> BlockedTri<S> {
             rows: b.rows.clone(),
             cols: b.cols.clone(),
             kind: match &b.data {
-                BlockData::Tri { solver, profile } => BlockViewKind::Tri { solver, profile },
+                BlockData::Tri(t) => BlockViewKind::Tri { solver: &t.solver, profile: &t.profile },
                 BlockData::Square(sq) => BlockViewKind::Square(sq),
             },
         })
@@ -446,7 +443,7 @@ impl<S: Scalar> BlockedTri<S> {
                     }
                     block_nnz += solver.nnz();
                     traffic.tri(b.rows.len());
-                    BlockData::Tri { solver, profile }
+                    BlockData::Tri(TriBlock::reloaded(solver, profile))
                 }
                 BlockPartsKind::Square(sq) => {
                     if sq.nrows() != b.rows.len() || sq.ncols() != b.cols.len() {
@@ -494,9 +491,11 @@ impl<S: Scalar> BlockedTri<S> {
             .iter()
             .map(|b| -> Result<Block<S>, MatrixError> {
                 let data = match &b.data {
-                    BlockData::Tri { solver, profile } => {
-                        BlockData::Tri { solver: solver.retuned(tune)?, profile: profile.clone() }
-                    }
+                    BlockData::Tri(t) => BlockData::Tri(TriBlock {
+                        solver: t.solver.retuned(tune)?,
+                        profile: t.profile.clone(),
+                        pick: t.pick,
+                    }),
                     BlockData::Square(sq) => BlockData::Square(sq.retuned(tune)),
                 };
                 Ok(Block { rows: b.rows.clone(), cols: b.cols.clone(), data })
@@ -526,12 +525,14 @@ impl<S: Scalar> BlockedTri<S> {
         })
     }
 
-    /// Which kernels the selection assigned, per block count.
+    /// Which kernels execute the blocks, per block count. A sync-free pick
+    /// counts as the level-set solver it runs on; the picks themselves are
+    /// in [`BlockedTri::selection_report`].
     pub fn census(&self) -> KernelCensus {
         let mut census = KernelCensus::default();
         for b in &self.blocks {
             match &b.data {
-                BlockData::Tri { solver, .. } => bump_tri(&mut census.tri, solver.kernel()),
+                BlockData::Tri(t) => bump_tri(&mut census.tri, t.solver.kernel()),
                 BlockData::Square(sq) => bump_spmv(&mut census.spmv, sq.kind()),
             }
         }
@@ -602,8 +603,8 @@ impl<S: Scalar> BlockedTri<S> {
         for (bi, block) in self.blocks.iter().enumerate() {
             let t0 = SolveTrace::start();
             match &block.data {
-                BlockData::Tri { solver, .. } => {
-                    solver.solve_into(&work[block.rows.clone()], &mut x[block.rows.clone()])?;
+                BlockData::Tri(t) => {
+                    t.solver.solve_into(&work[block.rows.clone()], &mut x[block.rows.clone()])?;
                     SolveTrace::finish(
                         t0,
                         EventKind::BlockTri,
@@ -641,9 +642,9 @@ impl<S: Scalar> BlockedTri<S> {
         let mut br = SolveBreakdown::default();
         for block in &self.blocks {
             match &block.data {
-                BlockData::Tri { solver, .. } => {
+                BlockData::Tri(t) => {
                     let t0 = Instant::now();
-                    let xs = solver.solve(&work[block.rows.clone()])?;
+                    let xs = t.solver.solve(&work[block.rows.clone()])?;
                     br.tri_s += t0.elapsed().as_secs_f64();
                     x[block.rows.clone()].copy_from_slice(&xs);
                 }
@@ -739,11 +740,12 @@ impl<S: Scalar> BlockedTri<S> {
         }
         for block in &self.blocks {
             match &block.data {
-                BlockData::Tri { solver, .. } => {
+                BlockData::Tri(t) => {
                     for j in 0..k {
                         let wj = &work[j * n..(j + 1) * n];
                         let xj = &mut x[j * n..(j + 1) * n];
-                        solver.solve_into(&wj[block.rows.clone()], &mut xj[block.rows.clone()])?;
+                        t.solver
+                            .solve_into(&wj[block.rows.clone()], &mut xj[block.rows.clone()])?;
                     }
                 }
                 BlockData::Square(sq) => {
@@ -785,15 +787,9 @@ impl<S: Scalar> BlockedTri<S> {
         let mut sim = SimBreakdown::default();
         for block in &self.blocks {
             match &block.data {
-                BlockData::Tri { solver, profile } => {
+                BlockData::Tri(t) => {
                     let ws = block.rows.len() * 3 * scalar_bytes;
-                    sim.tri = sim.tri.seq(solver.simulated_time_bytes(
-                        profile,
-                        scalar_bytes,
-                        ws,
-                        dev,
-                        params,
-                    ));
+                    sim.tri = sim.tri.seq(t.simulated_time_bytes(scalar_bytes, ws, dev, params));
                 }
                 BlockData::Square(sq) => {
                     let ws = (block.rows.len() + block.cols.len()) * 2 * scalar_bytes;
@@ -836,19 +832,19 @@ fn make_report<S: Scalar>(
         .iter()
         .enumerate()
         .map(|(index, b)| match &b.data {
-            BlockData::Tri { solver, profile } => BlockDecision {
+            BlockData::Tri(t) => BlockDecision {
                 index,
                 rows: b.rows.clone(),
                 cols: b.cols.clone(),
-                nnz: solver.nnz(),
+                nnz: t.solver.nnz(),
                 kind: BlockDecisionKind::Tri {
-                    decision: explain::tri_decision(selector, profile, solver.kernel(), tune),
-                    nnz_per_row: profile.nnz_per_row(),
-                    nlevels: profile.nlevels(),
-                    shape: LevelShape::from_level_rows(&profile.level_rows),
-                    schedule: solver.schedule_stats(),
-                    schedule_mode: solver.schedule_mode(),
-                    tasks: solver.task_stats(),
+                    decision: explain::tri_decision(selector, &t.profile, t.pick, tune),
+                    nnz_per_row: t.profile.nnz_per_row(),
+                    nlevels: t.profile.nlevels(),
+                    shape: LevelShape::from_level_rows(&t.profile.level_rows),
+                    schedule: t.solver.schedule_stats(),
+                    schedule_mode: t.solver.schedule_mode(),
+                    tasks: t.solver.task_stats(),
                 },
             },
             BlockData::Square(sq) => BlockDecision {
@@ -991,6 +987,80 @@ mod tests {
         let x1 = s.solve(&b).unwrap();
         let x2 = s.solve(&b).unwrap();
         assert_eq!(x1, x2);
+    }
+
+    /// A 64×64 5-point grid at depth 2: Algorithm 7 picks sync-free for two
+    /// of its four triangular blocks and level-set for the other two.
+    fn syncfree_grid_plan() -> BlockedTri<f64> {
+        let l = generate::grid2d::<f64>(64, 64, 7);
+        BlockedTri::build(&l, &opts(2)).unwrap()
+    }
+
+    #[test]
+    fn sync_free_picks_run_on_the_engine() {
+        let s = syncfree_grid_plan();
+        let picks: Vec<_> = s
+            .block_summaries()
+            .into_iter()
+            .filter_map(|b| match b.kind {
+                BlockKindSummary::Tri { kernel, .. } => Some(kernel),
+                BlockKindSummary::Square { .. } => None,
+            })
+            .collect();
+        assert_eq!(picks.iter().filter(|k| **k == TriKernel::SyncFree).count(), 2, "{picks:?}");
+        // The census counts what executes: no block runs a sync-free kernel.
+        assert_eq!(s.census().tri, vec![(TriKernel::LevelSet, 4)]);
+        assert!(s.selection_report().to_string().contains("sync-free → engine"));
+    }
+
+    #[test]
+    fn sync_free_pick_keeps_its_simulated_time() {
+        // Pinned to the value the cost model gave when these blocks still
+        // executed the atomic sync-free kernel: the pick, not the executing
+        // solver, is what gets priced.
+        let s = syncfree_grid_plan();
+        let t = s.simulated_time(&DeviceSpec::titan_rtx_turing(), &CostParams::default());
+        assert_eq!(t.total_s, 0.00032728977807911235);
+        assert_eq!(t.launches, 43);
+    }
+
+    #[test]
+    fn sync_free_grid_plan_resolves_bit_identically() {
+        let s = syncfree_grid_plan();
+        let n = s.n();
+        let b: Vec<f64> = (0..n).map(|i| ((i % 31) as f64) - 15.0).collect();
+        let mut ws = SolveWorkspace::new();
+        let mut first = vec![0.0; n];
+        s.solve_into(&b, &mut first, &mut ws).unwrap();
+        let mut x = vec![0.0; n];
+        for run in 0..64 {
+            s.solve_into(&b, &mut x, &mut ws).unwrap();
+            assert!(
+                x.iter().zip(&first).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "re-solve {run} differs in its bits"
+            );
+        }
+    }
+
+    #[test]
+    fn depth_zero_sync_free_plan_keeps_its_row_order() {
+        // Alg. 7 sends the whole grid to sync-free and the engine sweeps it
+        // on the calling thread, so the plan skips the level reorder (and
+        // the gather/scatter it would cost every solve).
+        let l = generate::grid2d::<f64>(64, 64, 7);
+        let s = BlockedTri::build(&l, &opts(0)).unwrap();
+        assert!(perm_is_identity(s.permutation()));
+        assert_eq!(s.selection_report().reorder_time, None);
+        let BlockData::Tri(t) = &s.blocks[0].data else { panic!("depth 0 is one tri block") };
+        assert_eq!(t.pick, TriKernel::SyncFree);
+        assert!(t.solver.runs_serially());
+        let b: Vec<f64> = (0..l.nrows()).map(|i| ((i % 29) as f64) - 14.0).collect();
+        assert_eq!(s.solve(&b).unwrap(), serial_csr(&l, &b).unwrap());
+        // A depth-0 level-set pick is still reordered.
+        let w = generate::layered::<f64>(20_000, 40, 2.5, generate::LayerShape::Uniform, 5);
+        let s = BlockedTri::build(&w, &opts(0)).unwrap();
+        assert_eq!(s.census().tri, vec![(TriKernel::LevelSet, 1)]);
+        assert!(s.selection_report().reorder_time.is_some());
     }
 
     #[test]

@@ -11,8 +11,9 @@ use crate::adaptive::Selector;
 use crate::report::{SimBreakdown, SolveBreakdown};
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
-use crate::trisolver::TriSolver;
-use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
+use crate::trisolver::TriBlock;
+use recblock_gpu_sim::{CostParams, DeviceSpec};
+use recblock_kernels::exec::TuneParams;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
 use std::time::Instant;
@@ -22,7 +23,7 @@ use std::time::Instant;
 pub struct ColumnBlockSolver<S> {
     n: usize,
     segments: Vec<Range<usize>>,
-    tris: Vec<(TriSolver<S>, TriProfile)>,
+    tris: Vec<TriBlock<S>>,
     /// `rects[si]`: rows `segments[si].end..n` × cols `segments[si]`
     /// (absent for the last strip).
     rects: Vec<SqSolver<S>>,
@@ -31,12 +32,7 @@ pub struct ColumnBlockSolver<S> {
 
 impl<S: Scalar> ColumnBlockSolver<S> {
     /// Partition `l` into `nseg` column blocks and preprocess every block.
-    pub fn new(
-        l: &Csr<S>,
-        nseg: usize,
-        selector: &Selector,
-        syncfree_threads: usize,
-    ) -> Result<Self, MatrixError> {
+    pub fn new(l: &Csr<S>, nseg: usize, selector: &Selector) -> Result<Self, MatrixError> {
         recblock_matrix::triangular::check_solvable_lower(l)?;
         let n = l.nrows();
         let segments = crate::partition::equal_segments(n, nseg);
@@ -46,7 +42,7 @@ impl<S: Scalar> ColumnBlockSolver<S> {
         for (si, seg) in segments.iter().enumerate() {
             let tri = l.submatrix(seg.clone(), seg.clone());
             traffic.tri(seg.len());
-            tris.push(TriSolver::build_adaptive(tri, selector, syncfree_threads)?);
+            tris.push(TriBlock::build(tri, selector, TuneParams::default())?);
             if si + 1 < segments.len() {
                 let rect = l.submatrix(seg.end..n, seg.clone());
                 traffic.spmv(rect.nrows(), rect.ncols());
@@ -85,7 +81,7 @@ impl<S: Scalar> ColumnBlockSolver<S> {
         let mut br = SolveBreakdown::default();
         for (si, seg) in self.segments.iter().enumerate() {
             let t0 = Instant::now();
-            let xs = self.tris[si].0.solve(&work[seg.clone()])?;
+            let xs = self.tris[si].solver.solve(&work[seg.clone()])?;
             br.tri_s += t0.elapsed().as_secs_f64();
             x[seg.clone()].copy_from_slice(&xs);
             if si < self.rects.len() {
@@ -100,10 +96,10 @@ impl<S: Scalar> ColumnBlockSolver<S> {
     /// Predicted GPU time per part under the cost model.
     pub fn simulated_breakdown(&self, dev: &DeviceSpec, params: &CostParams) -> SimBreakdown {
         let mut sim = SimBreakdown::default();
-        for (si, (tri, profile)) in self.tris.iter().enumerate() {
+        for (si, tri) in self.tris.iter().enumerate() {
             let seg = &self.segments[si];
             let ws = seg.len() * 3 * S::BYTES;
-            sim.tri = sim.tri.seq(tri.simulated_time(profile, ws, dev, params));
+            sim.tri = sim.tri.seq(tri.simulated_time(ws, dev, params));
         }
         for (si, rect) in self.rects.iter().enumerate() {
             let seg = &self.segments[si];
@@ -127,7 +123,7 @@ mod tests {
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
         let reference = serial_csr(&l, &b).unwrap();
-        let s = ColumnBlockSolver::new(&l, nseg, &Selector::default(), 4).unwrap();
+        let s = ColumnBlockSolver::new(&l, nseg, &Selector::default()).unwrap();
         let x = s.solve(&b).unwrap();
         assert!(max_rel_diff(&x, &reference) < 1e-10, "nseg={nseg}");
     }
@@ -151,7 +147,7 @@ mod tests {
     #[test]
     fn one_segment_is_plain_sptrsv() {
         let l = generate::random_lower::<f64>(200, 3.0, 16);
-        let s = ColumnBlockSolver::new(&l, 1, &Selector::default(), 2).unwrap();
+        let s = ColumnBlockSolver::new(&l, 1, &Selector::default()).unwrap();
         assert_eq!(s.nseg(), 1);
         let b = vec![1.0; 200];
         let x = s.solve(&b).unwrap();
@@ -164,7 +160,7 @@ mod tests {
         let n = 256;
         let l = generate::dense_lower::<f64>(n, 17);
         for parts in [4usize, 16] {
-            let s = ColumnBlockSolver::new(&l, parts, &Selector::default(), 2).unwrap();
+            let s = ColumnBlockSolver::new(&l, parts, &Selector::default()).unwrap();
             let t = s.traffic();
             assert_eq!(t.b_updates as f64, crate::traffic::column_b_updates(n, parts));
             assert_eq!(t.x_loads as f64, crate::traffic::column_x_loads(n, parts));
@@ -174,7 +170,7 @@ mod tests {
     #[test]
     fn instrumented_breakdown_sums() {
         let l = generate::random_lower::<f64>(400, 4.0, 18);
-        let s = ColumnBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
+        let s = ColumnBlockSolver::new(&l, 4, &Selector::default()).unwrap();
         let (_, br) = s.solve_instrumented(&vec![1.0; 400]).unwrap();
         assert!(br.tri_s >= 0.0 && br.spmv_s >= 0.0);
         assert!(br.total_s() > 0.0);
@@ -183,7 +179,7 @@ mod tests {
     #[test]
     fn simulated_breakdown_positive() {
         let l = generate::random_lower::<f64>(500, 4.0, 19);
-        let s = ColumnBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
+        let s = ColumnBlockSolver::new(&l, 4, &Selector::default()).unwrap();
         let sim = s.simulated_breakdown(&DeviceSpec::titan_rtx_turing(), &CostParams::default());
         assert!(sim.tri.total_s > 0.0);
         assert!(sim.spmv.total_s > 0.0);
@@ -192,7 +188,7 @@ mod tests {
     #[test]
     fn rejects_wrong_rhs() {
         let l = generate::random_lower::<f64>(100, 3.0, 20);
-        let s = ColumnBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
+        let s = ColumnBlockSolver::new(&l, 4, &Selector::default()).unwrap();
         assert!(s.solve(&[1.0]).is_err());
     }
 }

@@ -118,8 +118,8 @@ pub enum BlockDecisionKind {
         /// for the schedule-based kernels (level-set, cuSPARSE-like).
         schedule: Option<(usize, usize)>,
         /// Synchronisation scheme of the engine schedule (`"p2p"` or
-        /// `"level-sync"`); `None` for kernels that run no engine schedule
-        /// (diagonal, sync-free).
+        /// `"level-sync"`); `None` for the diagonal kernel, which runs no
+        /// engine schedule.
         schedule_mode: Option<&'static str>,
         /// Shape of the compiled point-to-point task graph, when the block
         /// runs barrier-free.
@@ -226,7 +226,7 @@ impl SelectionReport {
                     let _ = writeln!(
                         out,
                         "  tri    -> {}  (deciding threshold: {})",
-                        decision.chosen.name(),
+                        tri_pick_label(decision, *schedule_mode),
                         decision.threshold
                     );
                     let _ = writeln!(out, "  rule     {}", decision.rule);
@@ -311,13 +311,15 @@ impl fmt::Display for SelectionReport {
         }
         for b in &self.blocks {
             match &b.kind {
-                BlockDecisionKind::Tri { decision, nnz_per_row, nlevels, .. } => writeln!(
+                BlockDecisionKind::Tri {
+                    decision, nnz_per_row, nlevels, schedule_mode, ..
+                } => writeln!(
                     f,
                     "block {:>3}  tri    {:>7} rows -> {:<19} deciding: {:<21} \
                      [nnz/row={:.2} nlevels={}]",
                     b.index,
                     b.rows.len(),
-                    decision.chosen.name(),
+                    tri_pick_label(decision, *schedule_mode),
                     decision.threshold,
                     nnz_per_row,
                     nlevels
@@ -336,6 +338,16 @@ impl fmt::Display for SelectionReport {
             }
         }
         Ok(())
+    }
+}
+
+/// Display name of a triangular block's Algorithm 7 pick. A sync-free pick
+/// runs on the engine, so its label names the schedule too, e.g.
+/// `sync-free → engine p2p`.
+fn tri_pick_label(decision: &TriDecision, schedule_mode: Option<&str>) -> String {
+    match (decision.chosen, schedule_mode) {
+        (TriKernel::SyncFree, Some(mode)) => format!("sync-free → engine {mode}"),
+        (k, _) => k.name().to_string(),
     }
 }
 

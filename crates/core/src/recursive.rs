@@ -13,8 +13,9 @@ use crate::adaptive::Selector;
 use crate::report::{SimBreakdown, SolveBreakdown};
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
-use crate::trisolver::TriSolver;
-use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
+use crate::trisolver::TriBlock;
+use recblock_gpu_sim::{CostParams, DeviceSpec};
+use recblock_kernels::exec::TuneParams;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
 use std::time::Instant;
@@ -24,12 +25,11 @@ use std::time::Instant;
 enum Node<S> {
     Leaf {
         rows: Range<usize>,
-        tri: Box<TriSolver<S>>,
-        profile: TriProfile,
+        tri: Box<TriBlock<S>>,
     },
     Internal {
         top: Box<Node<S>>,
-        square: SqSolver<S>,
+        square: Box<SqSolver<S>>,
         sq_rows: Range<usize>,
         sq_cols: Range<usize>,
         bottom: Box<Node<S>>,
@@ -47,16 +47,11 @@ pub struct RecursiveBlockSolver<S> {
 
 impl<S: Scalar> RecursiveBlockSolver<S> {
     /// Recursively bisect `l` to the given depth and preprocess every block.
-    pub fn new(
-        l: &Csr<S>,
-        depth: usize,
-        selector: &Selector,
-        syncfree_threads: usize,
-    ) -> Result<Self, MatrixError> {
+    pub fn new(l: &Csr<S>, depth: usize, selector: &Selector) -> Result<Self, MatrixError> {
         recblock_matrix::triangular::check_solvable_lower(l)?;
         let n = l.nrows();
         let mut traffic = TrafficCounts::default();
-        let root = build(l, 0..n, depth, selector, syncfree_threads, &mut traffic)?;
+        let root = build(l, 0..n, depth, selector, &mut traffic)?;
         Ok(RecursiveBlockSolver { n, depth, root, traffic })
     }
 
@@ -104,23 +99,22 @@ fn build<S: Scalar>(
     range: Range<usize>,
     depth: usize,
     selector: &Selector,
-    threads: usize,
     traffic: &mut TrafficCounts,
 ) -> Result<Node<S>, MatrixError> {
     if depth == 0 || range.len() < 2 {
         let tri = l.submatrix(range.clone(), range.clone());
         traffic.tri(range.len());
-        let (tri, profile) = TriSolver::build_adaptive(tri, selector, threads)?;
-        return Ok(Node::Leaf { rows: range, tri: Box::new(tri), profile });
+        let tri = TriBlock::build(tri, selector, TuneParams::default())?;
+        return Ok(Node::Leaf { rows: range, tri: Box::new(tri) });
     }
     let mid = range.start + range.len() / 2;
-    let top = build(l, range.start..mid, depth - 1, selector, threads, traffic)?;
+    let top = build(l, range.start..mid, depth - 1, selector, traffic)?;
     let sq_rows = mid..range.end;
     let sq_cols = range.start..mid;
     let square = l.submatrix(sq_rows.clone(), sq_cols.clone());
     traffic.spmv(square.nrows(), square.ncols());
-    let square = SqSolver::build(square, selector, true);
-    let bottom = build(l, mid..range.end, depth - 1, selector, threads, traffic)?;
+    let square = Box::new(SqSolver::build(square, selector, true));
+    let bottom = build(l, mid..range.end, depth - 1, selector, traffic)?;
     Ok(Node::Internal { top: Box::new(top), square, sq_rows, sq_cols, bottom: Box::new(bottom) })
 }
 
@@ -133,7 +127,7 @@ fn solve_node<S: Scalar>(
     match node {
         Node::Leaf { rows, tri, .. } => {
             let t0 = Instant::now();
-            let xs = tri.solve(&work[rows.clone()])?;
+            let xs = tri.solver.solve(&work[rows.clone()])?;
             br.tri_s += t0.elapsed().as_secs_f64();
             x[rows.clone()].copy_from_slice(&xs);
             Ok(())
@@ -155,9 +149,9 @@ fn sim_node<S: Scalar>(
     sim: &mut SimBreakdown,
 ) {
     match node {
-        Node::Leaf { rows, tri, profile } => {
+        Node::Leaf { rows, tri } => {
             let ws = rows.len() * 3 * S::BYTES;
-            sim.tri = sim.tri.seq(tri.simulated_time(profile, ws, dev, params));
+            sim.tri = sim.tri.seq(tri.simulated_time(ws, dev, params));
         }
         Node::Internal { top, square, sq_rows, sq_cols, bottom } => {
             sim_node::<S>(top, dev, params, sim);
@@ -179,7 +173,7 @@ mod tests {
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i % 23) as f64) - 11.0).collect();
         let reference = serial_csr(&l, &b).unwrap();
-        let s = RecursiveBlockSolver::new(&l, depth, &Selector::default(), 4).unwrap();
+        let s = RecursiveBlockSolver::new(&l, depth, &Selector::default()).unwrap();
         let x = s.solve(&b).unwrap();
         assert!(max_rel_diff(&x, &reference) < 1e-10, "depth={depth}");
     }
@@ -206,7 +200,7 @@ mod tests {
         let l = generate::dense_lower::<f64>(n, 36);
         for depth in [2usize, 4] {
             let parts = 1usize << depth;
-            let s = RecursiveBlockSolver::new(&l, depth, &Selector::default(), 2).unwrap();
+            let s = RecursiveBlockSolver::new(&l, depth, &Selector::default()).unwrap();
             let t = s.traffic();
             assert_eq!(t.b_updates as f64, crate::traffic::recursive_b_updates(n, parts));
             assert_eq!(t.x_loads as f64, crate::traffic::recursive_x_loads(n, parts));
@@ -218,9 +212,9 @@ mod tests {
         let n = 256;
         let l = generate::dense_lower::<f64>(n, 37);
         let sel = Selector::default();
-        let rec = RecursiveBlockSolver::new(&l, 4, &sel, 2).unwrap().traffic();
-        let col = crate::column::ColumnBlockSolver::new(&l, 16, &sel, 2).unwrap().traffic();
-        let row = crate::row::RowBlockSolver::new(&l, 16, &sel, 2).unwrap().traffic();
+        let rec = RecursiveBlockSolver::new(&l, 4, &sel).unwrap().traffic();
+        let col = crate::column::ColumnBlockSolver::new(&l, 16, &sel).unwrap().traffic();
+        let row = crate::row::RowBlockSolver::new(&l, 16, &sel).unwrap().traffic();
         let sum = |t: crate::traffic::TrafficCounts| t.b_updates + t.x_loads;
         assert!(sum(rec) < sum(col));
         assert!(sum(rec) < sum(row));
@@ -229,7 +223,7 @@ mod tests {
     #[test]
     fn depth_zero_is_single_solve() {
         let l = generate::random_lower::<f64>(150, 3.0, 38);
-        let s = RecursiveBlockSolver::new(&l, 0, &Selector::default(), 2).unwrap();
+        let s = RecursiveBlockSolver::new(&l, 0, &Selector::default()).unwrap();
         let b = vec![2.0; 150];
         assert!(max_rel_diff(&s.solve(&b).unwrap(), &serial_csr(&l, &b).unwrap()) < 1e-10);
     }
@@ -237,7 +231,7 @@ mod tests {
     #[test]
     fn simulated_breakdown_positive() {
         let l = generate::random_lower::<f64>(500, 4.0, 39);
-        let s = RecursiveBlockSolver::new(&l, 3, &Selector::default(), 2).unwrap();
+        let s = RecursiveBlockSolver::new(&l, 3, &Selector::default()).unwrap();
         let sim = s.simulated_breakdown(&DeviceSpec::titan_rtx_turing(), &CostParams::default());
         assert!(sim.tri.total_s > 0.0);
         assert!(sim.spmv.total_s > 0.0);

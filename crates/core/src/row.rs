@@ -10,8 +10,9 @@ use crate::adaptive::Selector;
 use crate::report::{SimBreakdown, SolveBreakdown};
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
-use crate::trisolver::TriSolver;
-use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
+use crate::trisolver::TriBlock;
+use recblock_gpu_sim::{CostParams, DeviceSpec};
+use recblock_kernels::exec::TuneParams;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
 use std::time::Instant;
@@ -21,7 +22,7 @@ use std::time::Instant;
 pub struct RowBlockSolver<S> {
     n: usize,
     segments: Vec<Range<usize>>,
-    tris: Vec<(TriSolver<S>, TriProfile)>,
+    tris: Vec<TriBlock<S>>,
     /// `rects[si - 1]`: rows `segments[si]` × cols `0..segments[si].start`
     /// (absent for the first strip).
     rects: Vec<SqSolver<S>>,
@@ -30,12 +31,7 @@ pub struct RowBlockSolver<S> {
 
 impl<S: Scalar> RowBlockSolver<S> {
     /// Partition `l` into `nseg` row blocks and preprocess every block.
-    pub fn new(
-        l: &Csr<S>,
-        nseg: usize,
-        selector: &Selector,
-        syncfree_threads: usize,
-    ) -> Result<Self, MatrixError> {
+    pub fn new(l: &Csr<S>, nseg: usize, selector: &Selector) -> Result<Self, MatrixError> {
         recblock_matrix::triangular::check_solvable_lower(l)?;
         let n = l.nrows();
         let segments = crate::partition::equal_segments(n, nseg);
@@ -50,7 +46,7 @@ impl<S: Scalar> RowBlockSolver<S> {
             }
             let tri = l.submatrix(seg.clone(), seg.clone());
             traffic.tri(seg.len());
-            tris.push(TriSolver::build_adaptive(tri, selector, syncfree_threads)?);
+            tris.push(TriBlock::build(tri, selector, TuneParams::default())?);
         }
         Ok(RowBlockSolver { n, segments, tris, rects, traffic })
     }
@@ -91,7 +87,7 @@ impl<S: Scalar> RowBlockSolver<S> {
                 br.spmv_s += t1.elapsed().as_secs_f64();
             }
             let t0 = Instant::now();
-            let xs = self.tris[si].0.solve(&seg_rhs)?;
+            let xs = self.tris[si].solver.solve(&seg_rhs)?;
             br.tri_s += t0.elapsed().as_secs_f64();
             x[seg.clone()].copy_from_slice(&xs);
         }
@@ -101,10 +97,10 @@ impl<S: Scalar> RowBlockSolver<S> {
     /// Predicted GPU time per part under the cost model.
     pub fn simulated_breakdown(&self, dev: &DeviceSpec, params: &CostParams) -> SimBreakdown {
         let mut sim = SimBreakdown::default();
-        for (si, (tri, profile)) in self.tris.iter().enumerate() {
+        for (si, tri) in self.tris.iter().enumerate() {
             let seg = &self.segments[si];
             let ws = seg.len() * 3 * S::BYTES;
-            sim.tri = sim.tri.seq(tri.simulated_time(profile, ws, dev, params));
+            sim.tri = sim.tri.seq(tri.simulated_time(ws, dev, params));
         }
         for (si, rect) in self.rects.iter().enumerate() {
             let seg = &self.segments[si + 1];
@@ -128,7 +124,7 @@ mod tests {
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i % 19) as f64) - 9.0).collect();
         let reference = serial_csr(&l, &b).unwrap();
-        let s = RowBlockSolver::new(&l, nseg, &Selector::default(), 4).unwrap();
+        let s = RowBlockSolver::new(&l, nseg, &Selector::default()).unwrap();
         let x = s.solve(&b).unwrap();
         assert!(max_rel_diff(&x, &reference) < 1e-10, "nseg={nseg}");
     }
@@ -154,7 +150,7 @@ mod tests {
         let n = 256;
         let l = generate::dense_lower::<f64>(n, 26);
         for parts in [4usize, 16] {
-            let s = RowBlockSolver::new(&l, parts, &Selector::default(), 2).unwrap();
+            let s = RowBlockSolver::new(&l, parts, &Selector::default()).unwrap();
             let t = s.traffic();
             assert_eq!(t.b_updates as f64, crate::traffic::row_b_updates(n, parts));
             assert_eq!(t.x_loads as f64, crate::traffic::row_x_loads(n, parts));
@@ -165,8 +161,8 @@ mod tests {
     fn row_loads_more_x_than_column() {
         let n = 256;
         let l = generate::dense_lower::<f64>(n, 27);
-        let row = RowBlockSolver::new(&l, 16, &Selector::default(), 2).unwrap();
-        let col = crate::column::ColumnBlockSolver::new(&l, 16, &Selector::default(), 2).unwrap();
+        let row = RowBlockSolver::new(&l, 16, &Selector::default()).unwrap();
+        let col = crate::column::ColumnBlockSolver::new(&l, 16, &Selector::default()).unwrap();
         assert!(row.traffic().x_loads > col.traffic().x_loads);
         assert!(col.traffic().b_updates > row.traffic().b_updates);
     }
@@ -174,7 +170,7 @@ mod tests {
     #[test]
     fn simulated_breakdown_positive() {
         let l = generate::random_lower::<f64>(500, 4.0, 28);
-        let s = RowBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
+        let s = RowBlockSolver::new(&l, 4, &Selector::default()).unwrap();
         let sim = s.simulated_breakdown(&DeviceSpec::titan_rtx_turing(), &CostParams::default());
         assert!(sim.tri.total_s > 0.0);
         assert!(sim.spmv.total_s > 0.0);
@@ -183,7 +179,7 @@ mod tests {
     #[test]
     fn rejects_wrong_rhs() {
         let l = generate::random_lower::<f64>(100, 3.0, 29);
-        let s = RowBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
+        let s = RowBlockSolver::new(&l, 4, &Selector::default()).unwrap();
         assert!(s.solve(&[1.0; 5]).is_err());
     }
 }

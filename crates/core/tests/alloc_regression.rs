@@ -2,18 +2,16 @@
 //!
 //! After one warm-up call sizes the [`SolveWorkspace`], the full block walk
 //! — gather, every per-block triangular solve and SpMV, scatter — must not
-//! heap-allocate at all. The kernel selection is pinned to the level-set /
-//! CSR kernels because the sync-free solver allocates per-solve atomic
-//! state by design (see `TriSolver::solve_into`).
+//! heap-allocate at all, whatever kernels Algorithm 7 picked: every
+//! triangular block runs a preplanned engine schedule.
 //!
 //! A single `#[test]` keeps the allocation counter free of interference
 //! from concurrently running tests.
 
-use recblock::adaptive::{Selector, TriKernel};
-use recblock::blocked::{BlockedOptions, BlockedTri, DepthRule, SolveWorkspace};
-use recblock_gpu_sim::cost::SpmvKind;
+use recblock::adaptive::TriKernel;
+use recblock::blocked::{BlockKindSummary, BlockedOptions, BlockedTri, DepthRule, SolveWorkspace};
 use recblock_kernels::sptrsm::MultiVector;
-use recblock_matrix::generate;
+use recblock_matrix::{generate, Csr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -62,17 +60,24 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn blocked_solve_into_does_not_allocate_in_steady_state() {
-    let l = generate::kkt_like::<f64>(4000, 1500, 3, 910);
-    let n = l.nrows();
-    let opts = BlockedOptions {
-        depth: DepthRule::Fixed(3),
-        // Pin selection to schedule-based kernels: the sync-free variant
-        // allocates per-solve state by design and is out of scope here.
-        selector: Selector::Fixed(TriKernel::LevelSet, SpmvKind::ScalarCsr),
-        ..BlockedOptions::default()
-    };
-    let s = BlockedTri::build(&l, &opts).unwrap();
+    let kkt = plan(&generate::kkt_like::<f64>(4000, 1500, 3, 910), 3);
+    assert_steady_state_allocation_free(&kkt);
+    // A 5-point grid for which Algorithm 7 picks sync-free.
+    let grid = plan(&generate::grid2d::<f64>(64, 64, 7), 2);
+    assert!(grid
+        .block_summaries()
+        .iter()
+        .any(|b| { matches!(b.kind, BlockKindSummary::Tri { kernel: TriKernel::SyncFree, .. }) }));
+    assert_steady_state_allocation_free(&grid);
+}
 
+fn plan(l: &Csr<f64>, depth: usize) -> BlockedTri<f64> {
+    let opts = BlockedOptions { depth: DepthRule::Fixed(depth), ..BlockedOptions::default() };
+    BlockedTri::build(l, &opts).unwrap()
+}
+
+fn assert_steady_state_allocation_free(s: &BlockedTri<f64>) {
+    let n = s.n();
     let b: Vec<f64> = (0..n).map(|i| ((i % 19) as f64) - 9.0).collect();
     let mut x = vec![0.0f64; n];
     let mut ws = SolveWorkspace::new();

@@ -39,9 +39,9 @@ pub const LANES: usize = 4;
 /// How a level-set solver synchronises between dependent rows at solve time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleMode {
-    /// Pick per plan: point-to-point when the schedule has enough parallel
-    /// launches ([`TuneParams::p2p_min_parallel`]) to make barrier elision
-    /// pay, level-synchronous otherwise.
+    /// Pick per block: point-to-point when enough levels are classified
+    /// parallel ([`TuneParams::p2p_min_parallel`]) and the levels average
+    /// at least [`TuneParams::par_rows`] rows, level-synchronous otherwise.
     #[default]
     Auto,
     /// One barrier per parallel level ([`LevelSchedule`]).
@@ -93,8 +93,8 @@ pub struct TuneParams {
     pub lanes: usize,
     /// Which synchronisation scheme the level-set solver executes with.
     pub schedule_mode: ScheduleMode,
-    /// Under `ScheduleMode::Auto`, point-to-point is chosen when the
-    /// level-sync schedule would pay at least this many barriers per solve.
+    /// Under `ScheduleMode::Auto`, point-to-point needs at least this many
+    /// levels classified parallel (see `LevelSchedule::nwide`).
     pub p2p_min_parallel: usize,
     /// Target nonzeros per point-to-point task — smaller than `chunk_nnz`
     /// because a task costs flag stores, not a barrier.
@@ -760,6 +760,9 @@ enum Run {
     /// Rows executed in order on the calling thread (a fused stretch of
     /// cheap levels — zero barriers inside).
     Serial { rows: Range<u32> },
+    /// Every row in ascending order on the calling thread: the whole
+    /// schedule when no level forks (no row list needed).
+    Sweep,
     /// One level executed as a parallel launch; `chunks` indexes the
     /// boundary array (`chunk c` spans `chunk_ptr[c]..chunk_ptr[c+1]`).
     Parallel { chunks: Range<u32> },
@@ -771,11 +774,14 @@ enum Run {
 /// time; executing it performs no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelSchedule {
-    /// Row indices in execution order (the level sets' item array, u32).
+    /// Row indices in execution order (the level sets' item array, u32;
+    /// empty for a sweep).
     rows: Vec<u32>,
     runs: Vec<Run>,
     /// Chunk boundaries of all parallel runs, as offsets into `rows`.
     chunk_ptr: Vec<u32>,
+    /// See [`LevelSchedule::nwide`].
+    wide: usize,
     tune: TuneParams,
 }
 
@@ -787,6 +793,11 @@ impl LevelSchedule {
     /// `nnz ≥ tune.fuse_nnz` becomes a parallel run, chunked at
     /// `tune.chunk_nnz` nonzeros on the prefix sum; every maximal stretch of
     /// remaining (cheap) levels is fused into one serial run.
+    ///
+    /// When no parallel level is big enough for a second chunk, nothing
+    /// forks and the schedule is one sweep over the rows in ascending order:
+    /// a valid order for any lower-triangular matrix, which reads `l`, `b`
+    /// and `x` front to back and gives the same bits as level order.
     pub fn plan<S: Scalar>(l: &Csr<S>, levels: &LevelSets, tune: TuneParams) -> Self {
         assert_eq!(l.nrows(), levels.n(), "schedule planned for a mismatched level decomposition");
         let rows: Vec<u32> = levels.items().iter().map(|&i| i as u32).collect();
@@ -822,7 +833,12 @@ impl LevelSchedule {
         if let Some(s) = serial_start {
             runs.push(Run::Serial { rows: s..rows.len() as u32 });
         }
-        LevelSchedule { rows, runs, chunk_ptr, tune }
+        let wide = runs.iter().filter(|r| matches!(r, Run::Parallel { .. })).count();
+        if !runs.iter().any(|r| matches!(r, Run::Parallel { chunks } if chunks.len() > 2)) {
+            let runs = if rows.is_empty() { Vec::new() } else { vec![Run::Sweep] };
+            return LevelSchedule { rows: Vec::new(), runs, chunk_ptr: Vec::new(), wide, tune };
+        }
+        LevelSchedule { rows, runs, chunk_ptr, wide, tune }
     }
 
     /// The thresholds this schedule was planned under.
@@ -841,6 +857,12 @@ impl LevelSchedule {
         self.runs.iter().filter(|r| matches!(r, Run::Parallel { .. })).count()
     }
 
+    /// Levels classified parallel (`rows ≥ par_rows` or `nnz ≥ fuse_nnz`),
+    /// whether or not they fork.
+    pub(crate) fn nwide(&self) -> usize {
+        self.wide
+    }
+
     /// Execute the schedule: forward-substitute `x` from `b` over `l`.
     ///
     /// `l` must be the matrix the schedule was planned for (same shape and
@@ -848,13 +870,18 @@ impl LevelSchedule {
     /// the callers ([`crate::sptrsv::LevelSetSolver::solve_into`] and
     /// friends), debug-asserted here.
     pub fn solve_into<S: Scalar>(&self, l: &Csr<S>, b: &[S], x: &mut [S], pool: &ExecPool) {
-        debug_assert_eq!(l.nrows(), self.rows.len());
         debug_assert_eq!(b.len(), x.len());
-        debug_assert_eq!(x.len(), self.rows.len());
+        debug_assert_eq!(x.len(), l.nrows());
         let xp = SendPtr(x.as_mut_ptr());
         for (ri, run) in self.runs.iter().enumerate() {
             let t0 = SolveTrace::start();
             match run {
+                Run::Sweep => {
+                    for i in 0..x.len() {
+                        x[i] = solve_row(l, b, x, i);
+                    }
+                    SolveTrace::finish(t0, EventKind::SerialRun, ri as u32, x.len() as u32, 0);
+                }
                 Run::Serial { rows } => {
                     let span = &self.rows[rows.start as usize..rows.end as usize];
                     for (k, &i) in span.iter().enumerate() {
@@ -1440,6 +1467,22 @@ mod tests {
         let sched = LevelSchedule::plan(&l, &levels, TuneParams::default());
         assert_eq!(sched.nruns(), 1, "a pure chain coarsens to a single serial run");
         assert_eq!(sched.nparallel(), 0);
+    }
+
+    #[test]
+    fn schedule_without_forks_is_one_ascending_sweep() {
+        // A 2-D grid's widest levels reach par_rows but each fits one
+        // chunk: nothing forks, so the solve is one sweep in row order.
+        let l = generate::grid2d::<f64>(300, 300, 5);
+        let levels = LevelSets::analyse(&l).unwrap();
+        let sched = LevelSchedule::plan(&l, &levels, TuneParams::default());
+        assert!(sched.nwide() > 0);
+        assert_eq!((sched.nruns(), sched.nparallel()), (1, 0));
+        assert!(matches!(sched.runs[0], Run::Sweep));
+        let b: Vec<f64> = (0..l.nrows()).map(|i| ((i % 17) as f64) - 8.0).collect();
+        let mut x = vec![0.0; l.nrows()];
+        sched.solve_into(&l, &b, &mut x, &ExecPool::new(1));
+        assert_eq!(x, crate::sptrsv::serial_csr(&l, &b).unwrap());
     }
 
     #[test]

@@ -73,9 +73,13 @@ impl<S: Scalar> LevelSetSolver<S> {
         let p2p = match tune.schedule_mode {
             ScheduleMode::LevelSync => false,
             ScheduleMode::PointToPoint => true,
-            // Point-to-point pays off exactly when level-sync would pay
-            // repeated barriers; a mostly-serial schedule stays level-sync.
-            ScheduleMode::Auto => sched.nparallel() >= tune.p2p_min_parallel,
+            // Point-to-point needs many wide levels *and* wide levels on
+            // average: cut into tasks, the few wide levels of a mostly narrow
+            // block (Alg. 7's sync-free picks) give each too little work.
+            ScheduleMode::Auto => {
+                sched.nwide() >= tune.p2p_min_parallel
+                    && levels.n() >= tune.par_rows.saturating_mul(levels.nlevels())
+            }
         };
         let tasks = p2p.then(|| TaskSchedule::plan(&l, &levels, tune, nthreads));
         LevelSetSolver { l, levels, sched, tasks }
@@ -220,6 +224,23 @@ mod tests {
     use crate::sptrsv::serial_csr;
     use recblock_matrix::generate;
     use recblock_matrix::vector::max_rel_diff;
+
+    #[test]
+    fn auto_keeps_narrow_level_blocks_level_sync() {
+        let tune = TuneParams::default();
+        // A 2-D grid: 89 levels of at least par_rows rows, but 150 rows per
+        // level on average.
+        let grid = generate::grid2d::<f64>(300, 300, 5);
+        let levels = LevelSets::analyse(&grid).unwrap();
+        let s = LevelSetSolver::with_tune_threads(grid, levels, tune, 2);
+        assert!(s.schedule().nwide() >= tune.p2p_min_parallel);
+        assert_eq!(s.schedule_mode(), "level-sync");
+        // Every level 500 rows wide.
+        let wide = generate::layered::<f64>(20_000, 40, 2.5, generate::LayerShape::Uniform, 5);
+        let levels = LevelSets::analyse(&wide).unwrap();
+        let s = LevelSetSolver::with_tune_threads(wide, levels, tune, 2);
+        assert_eq!(s.schedule_mode(), "p2p");
+    }
 
     fn check_matches_serial(l: Csr<f64>, seed: u64) {
         let n = l.nrows();

@@ -51,8 +51,8 @@ pub enum EventKind {
     LevelSetKernel = 5,
     /// One whole [`crate::CusparseLikeSolver`] solve.
     CusparseKernel = 6,
-    /// One whole [`crate::SyncFreeSolver`] solve (recorded by the caller).
-    SyncFreeKernel = 7,
+    // Discriminant 7 belonged to a retired event kind: do not reuse it,
+    // since discriminants appear in the packed ring format.
     /// A planned CSR SpMV update ([`crate::spmv::csr_update_planned`]).
     SpmvCsr = 8,
     /// A planned DCSR SpMV update ([`crate::spmv::dcsr_update_planned`]).
@@ -87,7 +87,6 @@ impl EventKind {
             EventKind::DiagKernel => "diag_kernel",
             EventKind::LevelSetKernel => "levelset_kernel",
             EventKind::CusparseKernel => "cusparse_kernel",
-            EventKind::SyncFreeKernel => "syncfree_kernel",
             EventKind::SpmvCsr => "spmv_csr",
             EventKind::SpmvDcsr => "spmv_dcsr",
             EventKind::BlockTri => "block_tri",
@@ -109,7 +108,6 @@ impl EventKind {
             4 => EventKind::DiagKernel,
             5 => EventKind::LevelSetKernel,
             6 => EventKind::CusparseKernel,
-            7 => EventKind::SyncFreeKernel,
             8 => EventKind::SpmvCsr,
             9 => EventKind::SpmvDcsr,
             10 => EventKind::BlockTri,

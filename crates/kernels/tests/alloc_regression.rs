@@ -6,8 +6,8 @@
 //! **zero** heap allocations. Any future change that sneaks a `Vec` or a
 //! `collect` back into the hot loop fails this test immediately.
 //!
-//! The sync-free solvers are deliberately out of scope: their per-solve
-//! atomic state is allocated by design (see `TriSolver::solve_into`).
+//! The standalone sync-free solvers are deliberately out of scope: their
+//! per-solve atomic state is allocated by design, and no plan runs them.
 //!
 //! Everything runs inside a single `#[test]` so no concurrently running
 //! test can pollute the allocation counter.

@@ -894,9 +894,10 @@ pub struct TraceHopMsg {
     pub k: u16,
     /// Nanoseconds from admission to the last column solved.
     pub solve_ns: u64,
-    /// Nanoseconds spent encoding and flushing the response.
+    /// Nanoseconds spent encoding the response.
     pub respond_ns: u64,
-    /// Nanoseconds from admission to the response leaving the node.
+    /// Nanoseconds from admission to the response being handed to the
+    /// socket.
     pub total_ns: u64,
     /// Whether this node forwarded the solve to the plan's owner.
     pub proxied: bool,

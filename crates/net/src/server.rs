@@ -1240,6 +1240,7 @@ impl<S: Scalar> NetServer<S> {
         self.free_slots.push(slot as usize);
         self.admitted_cols -= inf.k as usize;
         let solved_at = Instant::now();
+        let mut handed_off = None;
 
         let counters = self.tenants[inf.tenant as usize].counters.clone();
         let cidx = inf.conn as usize;
@@ -1259,17 +1260,22 @@ impl<S: Scalar> NetServer<S> {
                 if alive {
                     let conn = self.conns[cidx].as_mut().expect("alive");
                     frame::encode_solve_ok(&mut conn.wbuf, inf.client_tag, &inf.cols);
+                    handed_off = Some(Instant::now());
                     self.flush_conn(cidx);
                 }
             }
         }
         // Traced request: stamp the per-node hop. `solve_ns` is the span
         // a caller waits on (admission → last column completed, queueing
-        // included); `respond_ns` covers encoding and flushing the reply.
+        // included); `respond_ns` covers encoding the reply. A successful
+        // hop ends when its reply is handed to the socket, not when the
+        // write returns: the write wakes the waiting peer and this thread
+        // can be preempted after the bytes are delivered, and a proxied
+        // hop must end inside the upstream span that waits for it.
         // Untraced requests (trace id 0) skip this entirely, keeping the
         // plain-solve path allocation-free.
         if inf.trace_id != 0 {
-            let responded_at = Instant::now();
+            let responded_at = handed_off.unwrap_or_else(Instant::now);
             self.metrics.record_trace_hop(TraceHop {
                 trace_id: inf.trace_id,
                 key: inf.key,

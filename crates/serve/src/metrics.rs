@@ -171,9 +171,10 @@ pub struct TraceHop {
     /// Admission → last column completed, in nanoseconds (serve-tier
     /// queueing and batching included — this is the span a caller waits).
     pub solve_ns: u64,
-    /// Encoding and flushing the response frames, in nanoseconds.
+    /// Encoding the response frames, in nanoseconds.
     pub respond_ns: u64,
-    /// Full admission → response-flushed span, in nanoseconds.
+    /// Full admission → response-handed-to-the-socket span, in
+    /// nanoseconds.
     pub total_ns: u64,
     /// `true` when this node proxied the request onward instead of
     /// solving it locally (the solve span then covers the remote hop).

@@ -38,6 +38,7 @@ use crate::crc::{crc32, crc32_parallel};
 use crate::error::StoreError;
 use crate::key::PlanKey;
 use crate::wire::{Reader, Writer};
+use recblock::adaptive::TriKernel;
 use recblock::blocked::{BlockParts, BlockPartsKind, BlockViewKind, BlockedTriParts};
 use recblock::packed::{PackedBlockParts, PackedBlocked, PackedBlockedParts, PackedShape};
 use recblock::sqsolver::{SqSolver, SqStorage};
@@ -46,7 +47,7 @@ use recblock::BlockedTri;
 use recblock_gpu_sim::cost::SpmvKind;
 use recblock_gpu_sim::{SpmvProfile, TriProfile};
 use recblock_kernels::exec::{ScheduleMode, TuneParams};
-use recblock_kernels::sptrsv::{CusparseLikeSolver, LevelSetSolver, SyncFreeSolver};
+use recblock_kernels::sptrsv::{CusparseLikeSolver, LevelSetSolver};
 use recblock_matrix::levelset::LevelSets;
 use recblock_matrix::permute::Permutation;
 use recblock_matrix::{Csc, Csr, Dcsr, Fingerprint, Scalar};
@@ -326,14 +327,6 @@ fn get_csr<S: Scalar>(r: &mut Reader<'_>) -> Result<Csr<S>, StoreError> {
     Ok(Csr::try_new(nrows, ncols, row_ptr, col_idx, vals)?)
 }
 
-fn put_csc<S: Scalar>(w: &mut Writer, a: &Csc<S>) {
-    w.put_usize(a.nrows());
-    w.put_usize(a.ncols());
-    w.put_usize_slice(a.col_ptr());
-    w.put_usize_slice(a.row_idx());
-    w.put_scalar_slice(a.vals());
-}
-
 fn get_csc<S: Scalar>(r: &mut Reader<'_>) -> Result<Csc<S>, StoreError> {
     let nrows = r.usize()?;
     let ncols = r.usize()?;
@@ -471,6 +464,9 @@ fn spmv_kind_from(tag: u8) -> Result<SpmvKind, StoreError> {
 
 const TRI_DIAG: u8 = 0;
 const TRI_LEVELSET: u8 = 1;
+/// Read-only: the atomic CSC sync-free solver (CSC arrays + thread count)
+/// that earlier builds stored for Algorithm 7's sync-free pick. That pick
+/// now runs on the engine's level-set solver, which is what gets written.
 const TRI_SYNCFREE: u8 = 2;
 const TRI_CUSPARSE: u8 = 3;
 
@@ -484,11 +480,6 @@ fn put_tri_solver<S: Scalar>(w: &mut Writer, s: &TriSolver<S>) {
             w.put_u8(TRI_LEVELSET);
             put_csr(w, s.matrix());
             put_levels(w, s.levels());
-        }
-        TriSolver::SyncFree(s) => {
-            w.put_u8(TRI_SYNCFREE);
-            put_csc(w, s.matrix());
-            w.put_usize(s.nthreads());
         }
         TriSolver::Cusparse(s) => {
             w.put_u8(TRI_CUSPARSE);
@@ -517,9 +508,12 @@ fn get_tri_solver<S: Scalar>(
             TriSolver::LevelSet(LevelSetSolver::with_tune(l, levels, tune))
         }
         TRI_SYNCFREE => {
-            let csc = get_csc(r)?;
-            let nthreads = r.usize()?;
-            TriSolver::SyncFree(SyncFreeSolver::from_csc(csc, nthreads)?)
+            // Built the way a fresh plan builds a sync-free pick; the stored
+            // thread count has no counterpart on the engine.
+            let l: Csr<S> = get_csc(r)?.to_csr();
+            let _nthreads = r.usize()?;
+            let levels = LevelSets::analyse(&l)?;
+            TriSolver::build(TriKernel::SyncFree, l, levels, tune)?
         }
         TRI_CUSPARSE => {
             let l = get_csr(r)?;
@@ -743,4 +737,95 @@ fn decode_packed_body<S: Scalar>(
         blocks,
     };
     Ok(PackedBlocked::from_parts(parts)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recblock_kernels::sptrsv::serial_csr;
+    use recblock_matrix::generate;
+
+    /// The tag-2 payload's CSC arrays, as earlier builds wrote them.
+    fn put_csc<S: Scalar>(w: &mut Writer, a: &Csc<S>) {
+        w.put_usize(a.nrows());
+        w.put_usize(a.ncols());
+        w.put_usize_slice(a.col_ptr());
+        w.put_usize_slice(a.row_idx());
+        w.put_scalar_slice(a.vals());
+    }
+
+    /// A v3 file for a one-block plan over the reordered matrix `lr`, with
+    /// the block stored the way earlier builds stored a sync-free pick.
+    fn legacy_syncfree_plan(lr: &Csr<f64>, perm: &Permutation, key: PlanKey) -> Vec<u8> {
+        let n = lr.nrows();
+        let levels = LevelSets::analyse(lr).unwrap();
+        let mut b = Writer::new();
+        b.put_usize_slice(perm.forward());
+        put_tune(&mut b, TuneParams::default());
+        b.put_usize(1);
+        b.put_range(&(0..n));
+        b.put_range(&(0..n));
+        b.put_u8(BLOCK_TRI);
+        b.put_u8(TRI_SYNCFREE);
+        put_csc(&mut b, &lr.to_csc());
+        b.put_usize(8); // thread count
+        put_tri_profile(&mut b, &TriProfile::analyse(lr, &levels));
+        let meta = PlanMeta {
+            kind: ArtifactKind::Blocked,
+            key,
+            scalar_bytes: 8,
+            n,
+            nnz: lr.nnz(),
+            depth: 0,
+            nblocks: 1,
+            build_cost: 0.0,
+        };
+        encode_file(&meta, b.into_bytes())
+    }
+
+    #[test]
+    fn legacy_syncfree_block_loads_onto_the_engine() {
+        let l = generate::grid2d::<f64>(40, 40, 7);
+        let (lr, perm) = recblock::reorder::recursive_levelset_reorder(&l, 0).unwrap();
+        let bytes = legacy_syncfree_plan(&lr, &perm, PlanKey::of(&l));
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
+        let (_, plan) = decode_plan::<f64>(&bytes).unwrap();
+
+        // Solves bit-equal to the serial loop on the reordered matrix.
+        let b: Vec<f64> = (0..l.nrows()).map(|i| ((i % 23) as f64) - 11.0).collect();
+        let expected = perm.scatter(&serial_csr(&lr, &perm.gather(&b)).unwrap());
+        assert_eq!(plan.solve(&b).unwrap(), expected);
+
+        // Explained as Algorithm 7's sync-free pick, without a drift note.
+        let report = plan.selection_report();
+        assert_eq!(report.blocks[0].kernel_name(), "sync-free");
+        let detail = report.detail();
+        assert!(detail.contains("sync-free → engine"), "{detail}");
+        assert!(!detail.contains("persisted plan stores"), "{detail}");
+
+        // Re-encoded, it round-trips as the engine's level-set block.
+        let (_, again) = decode_plan::<f64>(&encode_plan(&plan, &PlanKey::of(&l), 0.0)).unwrap();
+        assert_eq!(again.census().tri, vec![(TriKernel::LevelSet, 1)]);
+        assert_eq!(again.solve(&b).unwrap(), expected);
+    }
+
+    #[test]
+    fn in_order_sync_free_plan_round_trips_as_a_sweep() {
+        // A fresh depth-0 grid plan keeps the given row order and sweeps it
+        // on one thread; the reloaded plan does the same.
+        let l = generate::grid2d::<f64>(40, 40, 7);
+        use recblock::blocked::{BlockedOptions, DepthRule};
+        let opts = BlockedOptions { depth: DepthRule::Fixed(0), ..BlockedOptions::default() };
+        let plan = BlockedTri::build(&l, &opts).unwrap();
+        let (_, back) = decode_plan::<f64>(&encode_plan(&plan, &PlanKey::of(&l), 0.0)).unwrap();
+        for p in [&plan, &back] {
+            assert!(p.permutation().forward().iter().enumerate().all(|(i, &j)| i == j));
+            assert_eq!(p.selection_report().blocks[0].kernel_name(), "sync-free");
+            let detail = p.selection_report().detail();
+            assert!(detail.contains("schedule 1 runs, 0 parallel launches"), "{detail}");
+            assert!(detail.contains("mode level-sync"), "{detail}");
+        }
+        let b: Vec<f64> = (0..l.nrows()).map(|i| ((i % 23) as f64) - 11.0).collect();
+        assert_eq!(back.solve(&b).unwrap(), serial_csr(&l, &b).unwrap());
+    }
 }

@@ -66,9 +66,9 @@ fn every_block_algorithm_matches_serial_on_every_structure() {
             assert!(d < 1e-9, "{solver} on {name}: diff {d}");
         };
 
-        check(ColumnBlockSolver::new(&l, 6, &sel, 4).unwrap().solve(&b).unwrap(), "column");
-        check(RowBlockSolver::new(&l, 6, &sel, 4).unwrap().solve(&b).unwrap(), "row");
-        check(RecursiveBlockSolver::new(&l, 3, &sel, 4).unwrap().solve(&b).unwrap(), "recursive");
+        check(ColumnBlockSolver::new(&l, 6, &sel).unwrap().solve(&b).unwrap(), "column");
+        check(RowBlockSolver::new(&l, 6, &sel).unwrap().solve(&b).unwrap(), "row");
+        check(RecursiveBlockSolver::new(&l, 3, &sel).unwrap().solve(&b).unwrap(), "recursive");
         let opts = BlockedOptions { depth: DepthRule::Fixed(3), ..BlockedOptions::default() };
         check(BlockedTri::build(&l, &opts).unwrap().solve(&b).unwrap(), "blocked");
     }
@@ -133,9 +133,9 @@ fn traffic_hierarchy_matches_paper_tables() {
     let l = generate::dense_lower::<f64>(n, 23);
     let sel = Selector::default();
     let parts = 16usize;
-    let col = ColumnBlockSolver::new(&l, parts, &sel, 2).unwrap().traffic();
-    let row = RowBlockSolver::new(&l, parts, &sel, 2).unwrap().traffic();
-    let rec = RecursiveBlockSolver::new(&l, 4, &sel, 2).unwrap().traffic();
+    let col = ColumnBlockSolver::new(&l, parts, &sel).unwrap().traffic();
+    let row = RowBlockSolver::new(&l, parts, &sel).unwrap().traffic();
+    let rec = RecursiveBlockSolver::new(&l, 4, &sel).unwrap().traffic();
     assert!(col.b_updates > rec.b_updates && rec.b_updates > row.b_updates);
     assert!(row.x_loads > rec.x_loads && rec.x_loads > col.x_loads);
 }

@@ -60,9 +60,9 @@ proptest! {
         let b = rhs_for(l.nrows(), 3);
         let reference = serial_csr(&l, &b).unwrap();
         let sel = Selector::default();
-        let xc = ColumnBlockSolver::new(&l, nseg, &sel, 2).unwrap().solve(&b).unwrap();
-        let xr = RowBlockSolver::new(&l, nseg, &sel, 2).unwrap().solve(&b).unwrap();
-        let xq = RecursiveBlockSolver::new(&l, depth, &sel, 2).unwrap().solve(&b).unwrap();
+        let xc = ColumnBlockSolver::new(&l, nseg, &sel).unwrap().solve(&b).unwrap();
+        let xr = RowBlockSolver::new(&l, nseg, &sel).unwrap().solve(&b).unwrap();
+        let xq = RecursiveBlockSolver::new(&l, depth, &sel).unwrap().solve(&b).unwrap();
         let opts = BlockedOptions { depth: DepthRule::Fixed(depth), ..BlockedOptions::default() };
         let xb = BlockedTri::build(&l, &opts).unwrap().solve(&b).unwrap();
         prop_assert!(max_rel_diff(&xc, &reference) < 1e-9, "column");
